@@ -107,6 +107,10 @@ def _jac3d(corners, s):
     return np.stack(cols, axis=-1)  # (n, 3, 3)
 
 
+#: Row/column indices that remain when index 0, 1 or 2 is deleted.
+_KEEP3 = ((1, 2), (0, 2), (0, 1))
+
+
 def _solve_clamped(J: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Solve J x = r per point with the determinant clamped away from
     zero — degenerate cells (e.g. collapsed trailing-edge cells) then
@@ -125,13 +129,10 @@ def _solve_clamped(J: np.ndarray, r: np.ndarray) -> np.ndarray:
     det = np.linalg.det(J)
     det = np.where(np.abs(det) < 1e-14, np.where(det < 0, -1e-14, 1e-14), det)
     adj = np.empty_like(J)
-    for i in range(3):
-        for j in range(3):
-            minor = np.delete(np.delete(J, i, axis=1), j, axis=2)
-            cof = (
-                minor[:, 0, 0] * minor[:, 1, 1]
-                - minor[:, 0, 1] * minor[:, 1, 0]
-            )
+    for i, (r0, r1) in enumerate(_KEEP3):
+        for j, (c0, c1) in enumerate(_KEEP3):
+            # 2x2 minor of J without row i and column j.
+            cof = J[:, r0, c0] * J[:, r1, c1] - J[:, r0, c1] * J[:, r1, c0]
             adj[:, j, i] = ((-1) ** (i + j)) * cof
     return np.einsum("nij,nj->ni", adj, r) / det[:, None]
 

@@ -9,7 +9,24 @@ receive matching can arrive at or before the chosen key — the classic
 conservative-PDES safety argument — so execution is deterministic and
 independent of host scheduling.
 
-Ties are broken by rank id, making runs byte-for-byte reproducible.
+The candidates live in a binary heap of ``(key, rank)`` entries, so one
+pick is O(log n) instead of a scan of every rank's mailbox.  Each rank
+records its currently valid key (``None`` while it is blocked with no
+matching message); a popped entry that differs from it, or belongs to a
+dead rank, is stale and skipped.  Only two events change a key:
+
+* **the rank steps** — it alone advances its clock and removes from its
+  own mailbox, so after a step its key is its clock if runnable, and
+  ``None`` if it just blocked (a blocking receive consumes any matching
+  message it finds, so none is left);
+* **a matching deposit** — a send whose message matches the receiver's
+  pending receive can only lower the receiver's wake time, and the
+  receiver is pushed with the new key when it does.
+
+Ties are broken by rank id — heap entries order exactly like the
+``(time, rank)`` tuples a full scan would compare — so the pick
+sequence, and with it every float and trace, is that of the scan, and
+runs are byte-for-byte reproducible.
 
 Two extensions support resilience experiments (:mod:`repro.resilience`):
 
@@ -30,6 +47,7 @@ Two extensions support resilience experiments (:mod:`repro.resilience`):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
 if TYPE_CHECKING:  # import would be circular at runtime (analysis -> machine)
@@ -91,6 +109,7 @@ class _RankState:
         "fault_phase",
         "phases_set",
         "tacc",
+        "key",
     )
 
     def __init__(self, rank: int, gen: Generator):
@@ -113,6 +132,10 @@ class _RankState:
         self.fault_time: float | None = None
         self.fault_phase: int | None = None
         self.phases_set = 0  # set_phase calls executed so far
+        # Valid scheduler key (see module docstring): the clock while
+        # runnable, the wake time once a matching message is pending,
+        # None while blocked with nothing to wake on.
+        self.key: float | None = 0.0
 
 
 class Simulator:
@@ -254,12 +277,15 @@ class Simulator:
             if self.fault_plan is not None:
                 state.fault_time = self.fault_plan.time_fault(rank)
                 state.fault_phase = self.fault_plan.phase_fault(rank)
+            state.key = state.clock
             states.append(state)
         self._states = states
+        self._heap = heap = [(s.clock, s.rank) for s in states]
+        heapify(heap)
 
         events = 0
         while True:
-            picked = self._pick_next(states)
+            picked = self._pick()
             if picked is None:
                 # No runnable or wakeable rank.  Blocked ranks whose
                 # fault time is due die now (virtual time would pass
@@ -275,6 +301,13 @@ class Simulator:
             if events > max_events:
                 raise RuntimeError(f"simulation exceeded {max_events} events")
             self._step(state)
+            # A step is one of the two key changes (module docstring).
+            if state.alive:
+                if state.blocked_on is None:
+                    state.key = state.clock
+                    heappush(heap, (state.clock, state.rank))
+                else:
+                    state.key = None
 
         if self._sanitizer is not None and not self._eager_hooks:
             # Fold the batched (elided-hook) counters back in before any
@@ -380,29 +413,15 @@ class Simulator:
 
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _pick_next(
-        states: list[_RankState],
-    ) -> tuple[_RankState, float] | None:
-        """Rank with minimal next-event time (see module docstring)."""
-        best: _RankState | None = None
-        best_key: tuple[float, int] | None = None
-        for s in states:
-            if not s.alive:
-                continue
-            if s.blocked_on is None:
-                key = (s.clock, s.rank)
-            else:
-                src, tag = s.blocked_on
-                msg = s.mailbox.peek_matching(src, tag, s.clock, allow_future=True)
-                if msg is None:
-                    continue  # blocked, not wakeable yet
-                key = (max(s.clock, msg.arrival_time), s.rank)
-            if best_key is None or key < best_key:
-                best, best_key = s, key
-        if best is None:
-            return None
-        return best, best_key[0]
+    def _pick(self) -> tuple[_RankState, float] | None:
+        """Rank with minimal ``(key, rank)`` and its key, or None."""
+        heap, states = self._heap, self._states
+        while heap:
+            key, rank = heappop(heap)
+            s = states[rank]
+            if s.alive and s.key == key:
+                return s, key
+        return None
 
     def _step(self, state: _RankState) -> None:
         """Advance one rank by one primitive operation."""
@@ -592,6 +611,13 @@ class Simulator:
             arrival_time=arrival,
         )
         target.mailbox.deposit(msg)
+        if target.blocked_on is not None:
+            src, tag = target.blocked_on
+            if msg.matches(src, tag):
+                wake = max(target.clock, arrival)
+                if target.key is None or wake < target.key:
+                    target.key = wake
+                    heappush(self._heap, (wake, dst))
         if self.trace is not None:  # pragma: no cover - debugging aid
             self.trace(
                 f"t={state.clock:.6g} rank{state.rank} -> rank{dst} "

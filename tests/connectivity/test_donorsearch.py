@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.connectivity.donorsearch import donor_search
+from repro.connectivity.donorsearch import _solve_clamped, donor_search
 from repro.connectivity.interpolation import interpolate
 from repro.grids.generators import (
     airfoil_ogrid,
@@ -150,6 +150,31 @@ class TestSteps3D:
         g = cartesian_background("bg", (0, 0, 0), (5, 5, 5), (6, 6, 6))
         r = donor_search(g.xyz, np.array([[9.0, 2.0, 2.0]]))
         assert not r.found.any()
+
+    def test_3d_solve_matches_deleted_minor_adjugate(self):
+        """The cofactor solve is bit-identical to building each minor
+        with ``np.delete``, near-singular Jacobians included."""
+
+        def reference(J, r):
+            det = np.linalg.det(J)
+            det = np.where(
+                np.abs(det) < 1e-14, np.where(det < 0, -1e-14, 1e-14), det
+            )
+            adj = np.empty_like(J)
+            for i in range(3):
+                for j in range(3):
+                    m = np.delete(np.delete(J, i, axis=1), j, axis=2)
+                    cof = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+                    adj[:, j, i] = ((-1) ** (i + j)) * cof
+            return np.einsum("nij,nj->ni", adj, r) / det[:, None]
+
+        rng = np.random.default_rng(7)
+        J = rng.normal(size=(300, 3, 3)) * 10.0 ** rng.integers(-6, 6, (300, 1, 1))
+        J[:100, 2] = J[:100, 1] * (1 + 1e-15)  # near-singular
+        J[100:150, :, 0] = 0.0  # singular: determinant clamped
+        r = rng.normal(size=(300, 3))
+        got = _solve_clamped(J, r)
+        assert np.array_equal(got.view(np.int64), reference(J, r).view(np.int64))
 
 
 class TestProperties:
