@@ -125,31 +125,26 @@ def _steps(args, default: int = 5) -> int:
     return default if steps is None else steps
 
 
-def _scenario_case(args):
-    """Load ``--scenario FILE``, register it, build the OffBodyCase."""
+def _scenario(args) -> dict | None:
+    """Load ``--scenario FILE`` and register it as a case; returns the
+    scenario payload, or None when the flag is not given."""
+    path = getattr(args, "scenario", None)
+    if not path:
+        return None
     from repro.offbody import (
         ScenarioError,
         load_scenario,
         register_scenario_case,
     )
 
+    if getattr(args, "case_pos", None) or getattr(args, "case_opt", None):
+        raise SystemExit("give either a case name or --scenario, not both")
     try:
-        payload = load_scenario(args.scenario)
+        payload = load_scenario(path)
     except ScenarioError as exc:
         raise SystemExit(str(exc))
-    entry = register_scenario_case(payload, source=args.scenario)
-    kwargs = {}
-    if getattr(args, "nodes", None) is not None:
-        kwargs["nodes"] = args.nodes
-    if getattr(args, "steps", None) is not None:
-        kwargs["nsteps"] = args.steps
-    if getattr(args, "grouping", None):
-        kwargs["grouping"] = args.grouping
-    try:
-        case = entry.builder(**kwargs)
-    except (ScenarioError, ValueError) as exc:
-        raise SystemExit(str(exc))
-    return payload, case
+    register_scenario_case(payload, source=path)
+    return payload
 
 
 def _case_name(args) -> str:
@@ -259,7 +254,11 @@ def _store_tracer(args, case: str, component: str):
 
 
 def _print_offbody(r) -> None:
-    """Per-epoch adaptive/off-body statistics (OffBodyRunResult only)."""
+    """Per-epoch adaptive/off-body statistics (off-body runs only)."""
+    from repro.offbody import OffBodyRunResult
+
+    if not isinstance(r, OffBodyRunResult):
+        return
     for e in r.epochs:
         levels = " ".join(
             f"L{k}:{v}" for k, v in sorted(e.level_counts.items())
@@ -272,95 +271,86 @@ def _print_offbody(r) -> None:
         )
 
 
-def _no_case_with_scenario(args) -> None:
-    if getattr(args, "case_pos", None) or getattr(args, "case_opt", None):
-        raise SystemExit("give either a case name or --scenario, not both")
+def _resolve(args, default_nodes: int):
+    """The case of ``run``/``trace`` by registry kind: returns
+    ``(registry name, driver factory, one-line summary)``.
 
+    An ``"overflow"`` case is a CaseConfig run by OverflowD1 with the
+    fault and checkpoint options; an ``"offbody"`` case (a loaded
+    ``--scenario``) is an OffBodyCase run by OffBodyDriver, whose own
+    run block sets nodes and steps unless given.
+    """
+    from functools import partial
 
-def _run_scenario(args) -> int:
-    """``repro run --scenario FILE``: one adaptive off-body run."""
-    from repro.offbody import OffBodyDriver
-
-    _no_case_with_scenario(args)
-    if getattr(args, "checkpoint_every", None) or \
-            getattr(args, "checkpoint_dir", None):
-        raise SystemExit(
-            "--checkpoint-* is not supported with --scenario: off-body "
-            "recovery re-derives state from prescribed motions instead "
-            "of checkpoint bytes"
-        )
-    engine = _backend(args)
-    _payload, case = _scenario_case(args)
-    print(
-        f"{case.name}: {case.n_near} near-body grids, "
-        f"{case.machine.name} x {case.machine.nodes} nodes, "
-        f"{case.nsteps} steps (adapt every {case.adapt_interval}), "
-        f"grouping={case.grouping}, backend={engine.name}"
-    )
-    tracer = _store_tracer(args, case.name, "run")
-    san = _make_sanitizer(args, tracer=tracer)
+    scenario = _scenario(args)
+    name = scenario["name"] if scenario else _case_name(args)
     try:
+        entry = case_entry(name)
+    except UnknownCaseError as exc:
+        raise SystemExit(str(exc))
+    if entry.kind == "overflow":
+        nodes = default_nodes if args.nodes is None else args.nodes
+        machine = _machine(args.machine, nodes)
+        case = entry.builder(
+            machine=machine, scale=args.scale, nsteps=_steps(args), f0=args.f0
+        )
+        driver = OverflowD1
+        summary = (
+            f"{case.name}: {case.total_gridpoints} points, "
+            f"{len(case.grids)} grids, "
+            f"{machine.name} x {machine.nodes} nodes, "
+            f"f0={'inf' if math.isinf(args.f0) else args.f0}"
+        )
+    else:
+        from repro.offbody import OffBodyDriver
+
+        if args.checkpoint_every or args.checkpoint_dir:
+            raise SystemExit(
+                "--checkpoint-* is not supported with --scenario: off-body "
+                "recovery re-derives state from prescribed motions instead "
+                "of checkpoint bytes"
+            )
+        overrides = {"nodes": args.nodes, "nsteps": args.steps,
+                     "grouping": args.grouping}
         try:
-            driver = OffBodyDriver(
-                case,
-                tracer=tracer,
-                sanitizer=san,
-                backend=engine,
-                fault_plan=(
-                    list(args.fault)
-                    if getattr(args, "fault", None) else None
-                ),
+            case = entry.builder(
+                **{k: v for k, v in overrides.items() if v is not None}
             )
         except ValueError as exc:
             raise SystemExit(str(exc))
-        r = driver.run()
+        driver = OffBodyDriver
+        summary = (
+            f"{name}: {case.n_near} near-body grids, "
+            f"{case.machine.name} x {case.machine.nodes} nodes, "
+            f"{case.nsteps} steps (adapt every {case.adapt_interval}), "
+            f"grouping={case.grouping}"
+        )
+    return name, partial(driver, case, **_resilience_kwargs(args)), summary
+
+
+def _drive(driver, engine, tracer, san):
+    """Construct and run the driver; bad options exit cleanly."""
+    try:
+        d = driver(tracer=tracer, sanitizer=san, backend=engine)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+    return d.run()
+
+
+def cmd_run(args) -> int:
+    case, driver, summary = _resolve(args, default_nodes=12)
+    engine = _backend(args)
+    print(f"{summary}, backend={engine.name}")
+    tracer = _store_tracer(args, case, "run")
+    san = _make_sanitizer(args, tracer=tracer)
+    try:
+        r = _drive(driver, engine, tracer, san)
     finally:
         engine.close()
         if tracer is not None:
             tracer.close()
     _print_run(r, measured=engine.measured)
     _print_offbody(r)
-    if tracer is not None:
-        print(
-            f"trace store: {tracer.directory} ({tracer.records} records, "
-            f"{tracer.nranks} ranks; watch with 'repro top "
-            f"{tracer.directory}')"
-        )
-    return _finish_sanitizer(san)
-
-
-def cmd_run(args) -> int:
-    if args.scenario:
-        return _run_scenario(args)
-    machine = _machine(args.machine, 12 if args.nodes is None else args.nodes)
-    engine = _backend(args)
-    case = _case_name(args)
-    cfg = _case(case, machine, args.scale, _steps(args), args.f0)
-    print(
-        f"{cfg.name}: {cfg.total_gridpoints} points, {len(cfg.grids)} "
-        f"grids, {machine.name} x {machine.nodes} nodes, "
-        f"f0={'inf' if math.isinf(args.f0) else args.f0}, "
-        f"backend={engine.name}"
-    )
-    tracer = _store_tracer(args, case, "run")
-    san = _make_sanitizer(args, tracer=tracer)
-    try:
-        try:
-            driver = OverflowD1(
-                cfg,
-                tracer=tracer,
-                sanitizer=san,
-                backend=engine,
-                **_resilience_kwargs(args),
-            )
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        r = driver.run()
-    finally:
-        engine.close()
-        if tracer is not None:
-            tracer.close()
-    _print_run(r, measured=engine.measured)
     if tracer is not None:
         print(
             f"trace store: {tracer.directory} ({tracer.records} records, "
@@ -423,17 +413,8 @@ def cmd_trace(args) -> int:
         write_rollup_csv,
     )
 
+    case, driver, summary = _resolve(args, default_nodes=8)
     engine = _backend(args)
-    if args.scenario:
-        _no_case_with_scenario(args)
-        _payload, cfg = _scenario_case(args)
-        case = cfg.name
-    else:
-        machine = _machine(
-            args.machine, 8 if args.nodes is None else args.nodes
-        )
-        case = _case_name(args)
-        cfg = _case(case, machine, args.scale, _steps(args), args.f0)
     out_dir = Path(args.out)
     # --trends needs per-step rollups, which come from the segment
     # store's index; default its location under the output directory.
@@ -446,47 +427,11 @@ def cmd_trace(args) -> int:
             "live in the segment store's index"
         )
     mode = "streaming store" if store else "in-memory"
-    if args.scenario:
-        print(
-            f"{cfg.name}: {cfg.n_near} near-body grids, "
-            f"{cfg.machine.name} x {cfg.machine.nodes} nodes, "
-            f"grouping={cfg.grouping}, tracing enabled ({mode}), "
-            f"backend={engine.name}"
-        )
-    else:
-        print(
-            f"{cfg.name}: {cfg.total_gridpoints} points, {len(cfg.grids)} "
-            f"grids, {machine.name} x {machine.nodes} nodes, tracing "
-            f"enabled ({mode}), backend={engine.name}"
-        )
+    print(f"{summary}, tracing enabled ({mode}), backend={engine.name}")
     tracer = store if store is not None else SpanTracer()
     san = _make_sanitizer(args, tracer=tracer)
     try:
-        try:
-            if args.scenario:
-                from repro.offbody import OffBodyDriver
-
-                driver = OffBodyDriver(
-                    cfg,
-                    tracer=tracer,
-                    sanitizer=san,
-                    backend=engine,
-                    fault_plan=(
-                        list(args.fault)
-                        if getattr(args, "fault", None) else None
-                    ),
-                )
-            else:
-                driver = OverflowD1(
-                    cfg,
-                    tracer=tracer,
-                    sanitizer=san,
-                    backend=engine,
-                    **_resilience_kwargs(args),
-                )
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        run = driver.run()
+        run = _drive(driver, engine, tracer, san)
     finally:
         engine.close()
         if store is not None:
@@ -506,11 +451,6 @@ def cmd_trace(args) -> int:
     suffix = ""
     rollup = None
     if args.from_step is not None:
-        if reader is None:
-            raise SystemExit(
-                "--from-step needs --trace-store: per-step byte offsets "
-                "live in the segment store's index"
-            )
         from repro.obs import PhaseRollup
 
         try:
@@ -544,8 +484,7 @@ def cmd_trace(args) -> int:
     print(f"Ibar = {ig['ibar']:.2f}, max f(p) = {ig['f_max']:.3f}")
     for step, procs in run.partition_history:
         print(f"partition from step {step}: {procs}")
-    if args.scenario:
-        _print_offbody(run)
+    _print_offbody(run)
     for rec in run.recoveries:
         print(rec.describe())
     if not args.no_timeline:
@@ -634,34 +573,13 @@ def cmd_scenario(args) -> int:
     return 0
 
 
-def _bench_scenario(args) -> int:
-    """``repro bench --scenario FILE``: off-body BENCH payload."""
-    from repro.obs.perf import scenario_bench_payload, write_bench
-    from repro.offbody import ScenarioError, load_scenario
-
-    _no_case_with_scenario(args)
-    engine = _backend(args)  # fail fast on unknown/unavailable names
-    engine.close()  # the harness builds its own; this one was a probe
-    try:
-        scn = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        raise SystemExit(str(exc))
-    print(
-        f"bench {scn['name']} (scenario, {args.repeats} repeat(s), "
-        f"backend={engine.name}) ...",
-        file=sys.stderr,
-    )
-    payload = scenario_bench_payload(
-        scn,
-        repeats=args.repeats,
-        backend=engine.name,
-        grouping=args.grouping,
-    )
-    path = write_bench(payload, args.out)
+def _print_bench(label: str, payload: dict) -> int:
+    """Summarise one BENCH payload; 1 on a physics mismatch of the
+    measured pass or sanitizer findings, else 0."""
     exit_code = 0
     sim = payload["simulated"]
     print(
-        f"{scn['name']}: {sim['elapsed_s']:.4f} simulated s over "
+        f"{label}: {sim['elapsed_s']:.4f} simulated s over "
         f"{sim['nsteps']} steps on {sim['nranks']} ranks "
         f"({payload['host']['wall_s_median']:.2f} s wall median)"
     )
@@ -672,13 +590,30 @@ def _bench_scenario(args) -> int:
         f"comm {sim['comm']['total_messages']} msgs / "
         f"{sim['comm']['total_bytes']} B"
     )
-    ob = sim["offbody"]
-    for e in ob["epochs"]:
+    ob = sim.get("offbody")
+    for e in ob["epochs"] if ob else ():
         print(
             f"  epoch @ step {e['first_step']}: {e['npatches']} patches "
             f"(+{e['created']}/-{e['destroyed']}), {ob['grouping']} cut "
             f"{e['cut_points']} pts / {e['cut_edges']} edges, "
             f"tau {e['balance_tau']:.3f}"
+        )
+    mb = payload["host"].get("hook_microbench")
+    if mb:
+        print(
+            f"  hook overhead: {mb['eager_hook_calls']} eager hook "
+            f"calls -> {mb['batched_hook_calls']} batched "
+            f"({mb['hook_call_reduction']:.0f}x fewer); per-send path "
+            f"{mb['eager_ns_per_send']:.0f} -> "
+            f"{mb['batched_ns_per_send']:.0f} ns "
+            f"({mb['hook_speedup']:.1f}x)"
+        )
+    sv = payload["host"].get("serve_microbench")
+    if sv and "jobs_per_sec" in sv:
+        print(
+            f"  warm-pool throughput: {sv['jobs_per_sec']:.2f} jobs/s "
+            f"({sv['jobs']} x {sv['case']} over {sv['workers']} "
+            f"workers, {sv['wall_s']:.2f} s wall)"
         )
     meas = payload["host"].get("measured")
     if meas:
@@ -696,100 +631,63 @@ def _bench_scenario(args) -> int:
     if not sim["sanitizer"]["ok"]:
         print(f"  sanitizer: FINDINGS {sim['sanitizer']['counts']}")
         exit_code = 1
-    print(f"  wrote {path}")
+    trend = sim["trend"]
+    if trend.get("steps"):
+        print(
+            f"  trend: {trend['steps']} step(s), "
+            f"max imbalance {trend['imbalance_max']:.3f}"
+        )
     return exit_code
 
 
 def cmd_bench(args) -> int:
-    from repro.obs.perf import BENCH_CASES, run_bench
+    from repro.obs.perf import BENCH_CASES, bench_payload, write_bench
 
-    if args.scenario:
-        return _bench_scenario(args)
-    case_name = _case_name(args)
-    if case_name == "all":
-        cases = sorted(BENCH_CASES)
-    elif case_name in BENCH_CASES:
-        cases = [case_name]
+    scenario = _scenario(args)
+    if scenario is not None:
+        cases: list = [scenario]
     else:
-        raise SystemExit(
-            f"unknown bench case {case_name!r}; choose from "
-            f"{sorted(BENCH_CASES)} or 'all'"
-        )
-    engine = _backend(args)  # fail fast on unknown/unavailable names
-    engine.close()  # run_bench builds its own engine; this one was a probe
+        name = _case_name(args)
+        if name == "all":
+            cases = sorted(BENCH_CASES)
+        elif name in BENCH_CASES:
+            cases = [name]
+        else:
+            raise SystemExit(
+                f"unknown bench case {name!r}; choose from "
+                f"{sorted(BENCH_CASES)} or 'all'"
+            )
+    # One engine serves every measured pass and is closed once, here.
+    engine = _backend(args)
     exit_code = 0
-    for i, case in enumerate(cases):
-        print(f"bench {case} ({'quick' if args.quick else 'full'}, "
-              f"{args.repeats} repeat(s), backend={engine.name}) ...",
-              file=sys.stderr)
-        payload, path = run_bench(
-            case,
-            args.out,
-            quick=args.quick,
-            repeats=args.repeats,
-            # One micro-bench per invocation is plenty.
-            microbench=not args.no_microbench and i == 0,
-            backend=engine.name,
-            trace_store=(
-                str(Path(args.trace_store) / case)
-                if args.trace_store
-                else None
-            ),
-        )
-        sim = payload["simulated"]
-        print(
-            f"{case}: {sim['elapsed_s']:.4f} simulated s over "
-            f"{sim['nsteps']} steps on {sim['nranks']} ranks "
-            f"({payload['host']['wall_s_median']:.2f} s wall median)"
-        )
-        print(
-            f"  Mflops/node {sim['mflops_per_node']:.1f}, "
-            f"%DCF3D {sim['pct_dcf3d']:.1f}%, "
-            f"max f(p) {sim['imbalance']['f_max']:.3f}, "
-            f"comm {sim['comm']['total_messages']} msgs / "
-            f"{sim['comm']['total_bytes']} B"
-        )
-        mb = payload["host"].get("hook_microbench")
-        if mb:
-            print(
-                f"  hook overhead: {mb['eager_hook_calls']} eager hook "
-                f"calls -> {mb['batched_hook_calls']} batched "
-                f"({mb['hook_call_reduction']:.0f}x fewer); per-send path "
-                f"{mb['eager_ns_per_send']:.0f} -> "
-                f"{mb['batched_ns_per_send']:.0f} ns "
-                f"({mb['hook_speedup']:.1f}x)"
-            )
-        sv = payload["host"].get("serve_microbench")
-        if sv and "jobs_per_sec" in sv:
-            print(
-                f"  warm-pool throughput: {sv['jobs_per_sec']:.2f} jobs/s "
-                f"({sv['jobs']} x {sv['case']} over {sv['workers']} "
-                f"workers, {sv['wall_s']:.2f} s wall)"
-            )
-        meas = payload["host"].get("measured")
-        if meas:
-            match = "physics match" if meas["igbp_matches_simulated"] \
-                else "PHYSICS MISMATCH"
-            print(
-                f"  measured ({meas['backend']}): "
-                f"{meas['elapsed_s_median']:.4f} wall s median, "
-                f"{meas['time_per_step_s']:.4f} s/step, "
-                f"Mflops/node {meas['mflops_per_node']:.1f}, "
-                f"%DCF3D {meas['pct_dcf3d']:.1f}% [{match}]"
-            )
-            if not meas["igbp_matches_simulated"]:
-                exit_code = 1
-        if not sim["sanitizer"]["ok"]:
-            print(f"  sanitizer: FINDINGS {sim['sanitizer']['counts']}")
-            exit_code = 1
-        trend = sim.get("trend", {})
-        if trend.get("steps"):
-            print(
-                f"  trend: {trend['steps']} step(s), "
-                f"max imbalance {trend['imbalance_max']:.3f}"
-            )
-        print(f"  wrote {path}")
-        if args.compare:
+    try:
+        for i, case in enumerate(cases):
+            label = case if isinstance(case, str) else case["name"]
+            print(f"bench {label} ({'quick' if args.quick else 'full'}, "
+                  f"{args.repeats} repeat(s), backend={engine.name}) ...",
+                  file=sys.stderr)
+            try:
+                payload = bench_payload(
+                    case,
+                    quick=args.quick,
+                    repeats=args.repeats,
+                    # One micro-bench per invocation is plenty.
+                    microbench=not args.no_microbench and i == 0,
+                    backend=engine,
+                    trace_store=(
+                        str(Path(args.trace_store) / label)
+                        if args.trace_store
+                        else None
+                    ),
+                    grouping=args.grouping,
+                )
+            except ValueError as exc:
+                raise SystemExit(str(exc))
+            path = write_bench(payload, args.out)
+            exit_code |= _print_bench(label, payload)
+            print(f"  wrote {path}")
+            if not args.compare:
+                continue
             from repro.obs.perf import diff_files
 
             baseline = Path(args.baseline_dir) / path.name
@@ -804,6 +702,8 @@ def cmd_bench(args) -> int:
             print(report.format())
             if not report.ok:
                 exit_code = 1
+    finally:
+        engine.close()
     return exit_code
 
 

@@ -35,7 +35,6 @@ from repro.obs.perf.bench import (
     canonical_json,
     hook_overhead_microbench,
     run_bench,
-    scenario_bench_payload,
     write_bench,
 )
 from repro.obs.perf.diff import DiffReport, diff_bench, diff_files
@@ -57,7 +56,6 @@ __all__ = [
     "canonical_json",
     "hook_overhead_microbench",
     "run_bench",
-    "scenario_bench_payload",
     "write_bench",
     "DiffReport",
     "diff_bench",

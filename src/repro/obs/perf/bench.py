@@ -1,9 +1,10 @@
 """``repro bench``: canonical, schema-versioned benchmark payloads.
 
 Runs the table-reproduction scenarios (the same cases
-``benchmarks/test_table*`` sweep) through the full observability stack
-— span tracer, sanitizer, critical-path analyzer, comm matrix — and
-emits one ``BENCH_<case>.json`` per case:
+``benchmarks/test_table*`` sweep) or a generated off-body scenario
+through the full observability stack — span tracer, sanitizer,
+critical-path analyzer, comm matrix — and emits one
+``BENCH_<case>.json`` per case:
 
 * the ``simulated`` section is **deterministic**: virtual elapsed time,
   per-phase breakdown, imbalance metrics (including the paper's
@@ -14,9 +15,9 @@ emits one ``BENCH_<case>.json`` per case:
 * the ``host`` section is **nondeterministic**: wall-clock medians and
   the sanitizer hook-overhead micro-benchmark (eager per-send hooks
   vs. the scheduler's batched counters).  trace-diff ignores it.
-  With ``backend="mp"`` it additionally gains a ``measured`` block:
-  the same Table-1/3/4-shape numbers (time/step, Mflops/node, %DCF3D)
-  re-measured on real ``multiprocessing`` ranks with wall clocks —
+  With a measured backend (``mp``, ``cluster``) it additionally gains
+  a ``measured`` block: the same Table-1/3/4-shape numbers (time/step,
+  Mflops/node, %DCF3D) re-measured on real ranks with wall clocks —
   printed next to the modeled ones, never compared by the CI gate.
 
 Canonical JSON: ``sort_keys=True``, ``separators=(",", ":")``, one
@@ -33,7 +34,10 @@ import statistics
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
+
+if TYPE_CHECKING:
+    from repro.backend import ExecutionBackend
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -311,15 +315,87 @@ def _build_config(spec: BenchSpec, quick: bool) -> tuple[Any, dict[str, Any]]:
     return cfg, config_dict
 
 
+def _bench_case(
+    case: str | dict[str, Any], quick: bool, grouping: str | None
+) -> tuple[str, Callable[[], tuple[Any, dict[str, Any]]], Any]:
+    """Resolve a bench case by kind: ``(name, build, driver class)``.
+
+    A ``BENCH_CASES`` name is an OVERFLOW-D1 case; a loaded scenario
+    payload is an off-body case whose config identity is the payload
+    plus the ``grouping`` override.  ``build()`` returns a fresh
+    ``(case object, config dict)`` for each repeat.
+    """
+    if isinstance(case, dict):
+        from repro.offbody import OffBodyDriver, build_offbody_case
+
+        if quick:
+            raise ValueError(
+                "quick knobs exist only for BENCH_CASES, not scenarios"
+            )
+        config = {"scenario": case, "grouping": grouping}
+        return (
+            case["name"],
+            lambda: (build_offbody_case(case, grouping=grouping), config),
+            OffBodyDriver,
+        )
+    from repro.core import OverflowD1
+
+    try:
+        spec = BENCH_CASES[case]
+    except KeyError:
+        raise ValueError(
+            f"unknown bench case {case!r}; choose from {sorted(BENCH_CASES)}"
+        )
+    return case, lambda: _build_config(spec, quick), OverflowD1
+
+
+def _physics(run: Any) -> Any:
+    """What a measured run must reproduce exactly: an off-body run's
+    physics signature, else the accumulated per-rank IGBP counts."""
+    from repro.offbody import OffBodyRunResult
+
+    if isinstance(run, OffBodyRunResult):
+        return canonical_json(run.physics_signature())
+    return [int(v) for v in run.igbp_rollup().accumulated()]
+
+
+def _offbody_block(run: Any) -> dict[str, Any]:
+    """Per-epoch patch and Algorithm-3 grouping statistics."""
+    return {
+        "grouping": run.epochs[0].strategy if run.epochs else None,
+        "signature_sha": config_sha(run.physics_signature()),
+        "epochs": [
+            {
+                "first_step": e.first_step,
+                "npatches": e.npatches,
+                "created": e.created,
+                "destroyed": e.destroyed,
+                "cut_points": e.cut_points,
+                "cut_edges": e.cut_edges,
+                "intra_edges": e.intra_edges,
+                "balance_tau": e.balance_tau,
+            }
+            for e in run.epochs
+        ],
+    }
+
+
 def bench_payload(
-    case: str,
+    case: str | dict[str, Any],
     quick: bool = False,
     repeats: int = 3,
     microbench: bool = True,
-    backend: str = "sim",
+    backend: str | ExecutionBackend = "sim",
     trace_store: str | Path | None = None,
+    grouping: str | None = None,
 ) -> dict:
     """Run one bench case; returns the full BENCH payload dict.
+
+    ``case`` is a ``BENCH_CASES`` name (an OVERFLOW-D1 case; ``quick``
+    selects its reduced knobs) or a loaded ``repro scenario`` payload
+    (an off-body case; ``grouping`` overrides its run block, and
+    ``simulated`` gains an ``offbody`` block of per-epoch patch and
+    grouping statistics).
 
     ``repeats`` runs measure wall time (median reported); every repeat
     must produce the identical simulated elapsed time or a
@@ -333,27 +409,23 @@ def bench_payload(
 
     ``backend`` selects an *additional* measured pass: the canonical
     ``simulated`` section always comes from the ``sim`` backend (it is
-    what the CI perf gate compares), but ``backend="mp"`` re-runs the
-    case on real multiprocessing ranks and lands measured time/step,
-    Mflops/node and %DCF3D under ``host["measured"]`` — including an
-    ``igbp_matches_simulated`` physics cross-check.
+    what the CI perf gate compares), but a measured engine (``"mp"``,
+    ``"cluster"``) re-runs the case ``repeats`` times on real ranks and
+    lands measured time/step, Mflops/node and %DCF3D under
+    ``host["measured"]`` — including an ``igbp_matches_simulated``
+    physics cross-check.  A backend name builds and closes its own
+    engine; an engine instance is left for the caller to close.
     """
     import tempfile
 
     from repro.analysis import Sanitizer
-    from repro.core import OverflowD1
     from repro.obs import SpanTracer
     from repro.obs.perf.comm_matrix import CommMatrix
     from repro.obs.perf.critical_path import analyze_critical_path
     from repro.obs.perf.trends import trend_block
     from repro.obs.store import StoreReader, StoreTracer
 
-    try:
-        spec = BENCH_CASES[case]
-    except KeyError:
-        raise ValueError(
-            f"unknown bench case {case!r}; choose from {sorted(BENCH_CASES)}"
-        )
+    name, build, driver = _bench_case(case, quick, grouping)
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
 
@@ -369,12 +441,12 @@ def bench_payload(
         store_dir = Path(trace_store)
     try:
         for i in range(repeats):
-            cfg, config_dict = _build_config(spec, quick)
+            cfg, config_dict = build()
             final = i == repeats - 1
             tracer: Any = (
                 StoreTracer(
                     store_dir,
-                    meta={"case": case, "component": "bench"},
+                    meta={"case": name, "component": "bench"},
                     fresh=True,
                 )
                 if final
@@ -382,7 +454,7 @@ def bench_payload(
             )
             sanitizer = Sanitizer(tracer=tracer)
             t0 = time.perf_counter()
-            run = OverflowD1(cfg, tracer=tracer, sanitizer=sanitizer).run()
+            run = driver(cfg, tracer=tracer, sanitizer=sanitizer).run()
             walls.append(time.perf_counter() - t0)
             elapsed_seen.add(run.elapsed)
             if final:
@@ -436,6 +508,8 @@ def bench_payload(
             [step, list(procs)] for step, procs in run.partition_history
         ],
     }
+    if not isinstance(case, str):
+        simulated["offbody"] = _offbody_block(run)
     host: dict[str, Any] = {
         "repeats": repeats,
         "wall_s_median": statistics.median(walls),
@@ -451,15 +525,14 @@ def bench_payload(
         host["serve_microbench"] = serve
         if "jobs_per_sec" in serve:
             host["jobs_per_sec"] = serve["jobs_per_sec"]
-    if backend not in (None, "sim"):
+    if (backend != "sim") if isinstance(backend, str) else backend.measured:
         host["measured"] = _measured_section(
-            spec, quick, repeats, backend,
-            sim_igbp=[int(v) for v in igbp.accumulated()],
+            build, driver, backend, repeats, _physics(run)
         )
 
     return {
         "schema": BENCH_SCHEMA,
-        "case": case,
+        "case": name,
         "quick": quick,
         "config": config_dict,
         "config_sha": config_sha(config_dict),
@@ -469,39 +542,37 @@ def bench_payload(
 
 
 def _measured_section(
-    spec: BenchSpec,
-    quick: bool,
+    build: Callable[[], tuple[Any, dict[str, Any]]],
+    driver: Any,
+    backend: str | ExecutionBackend,
     repeats: int,
-    backend: str,
-    sim_igbp: list[int],
+    sim_physics: Any,
 ) -> dict:
     """Re-run the case on a measured backend; host-section numbers.
 
     Wall elapsed varies run to run (median over ``repeats``); the
     physics must not — ``igbp_matches_simulated`` records whether the
-    measured run reproduced the simulated run's accumulated per-rank
-    IGBP counts exactly.
+    measured run reproduced the simulated run's physics exactly.
     """
     from repro.backend import get_backend
-    from repro.core import OverflowD1
 
-    engine = get_backend(backend)
+    engine = get_backend(backend) if isinstance(backend, str) else backend
     elapsed_all: list[float] = []
     wall_all: list[float] = []
     mrun = None
     try:
         # Repeats share one engine: the cluster backend's node pool
-        # stays warm across them (and is shut down on the way out).
+        # stays warm across them.
         for _ in range(repeats):
-            cfg, _ = _build_config(spec, quick)
+            cfg, _ = build()
             t0 = time.perf_counter()
-            mrun = OverflowD1(cfg, backend=engine).run()
+            mrun = driver(cfg, backend=engine).run()
             wall_all.append(time.perf_counter() - t0)
             elapsed_all.append(mrun.elapsed)
     finally:
-        engine.close()
+        if engine is not backend:  # built here, so closed here
+            engine.close()
     assert mrun is not None  # repeats >= 1 (validated by the caller)
-    measured_igbp = [int(v) for v in mrun.igbp_rollup().accumulated()]
     return {
         "backend": engine.name,
         "repeats": repeats,
@@ -513,139 +584,7 @@ def _measured_section(
         "pct_dcf3d": mrun.pct_dcf3d,
         "wall_s_all": wall_all,
         # Physics cross-check against the canonical simulated pass:
-        "igbp_matches_simulated": measured_igbp == sim_igbp,
-    }
-
-
-def scenario_bench_payload(
-    scenario: dict[str, Any],
-    repeats: int = 1,
-    backend: str = "sim",
-    grouping: str | None = None,
-) -> dict[str, Any]:
-    """BENCH-style payload for a generated off-body scenario.
-
-    Mirrors :func:`bench_payload`'s ``simulated`` section (phases,
-    imbalance, critical path, comm matrix, sanitizer) so the existing
-    ``trace-diff`` classifier applies, and adds an ``offbody`` block
-    with per-epoch patch/grouping statistics.  The scenario payload
-    itself is the config — its sha keys the result.  A non-``sim``
-    ``backend`` adds a measured pass under ``host["measured"]`` with a
-    byte-level physics cross-check against the simulated run.
-    """
-    from repro.analysis import Sanitizer
-    from repro.obs import SpanTracer
-    from repro.obs.perf.comm_matrix import CommMatrix
-    from repro.obs.perf.critical_path import analyze_critical_path
-    from repro.offbody import OffBodyDriver, build_offbody_case
-
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-
-    walls: list[float] = []
-    elapsed_seen: set[float] = set()
-    run = sanitizer = tracer = None
-    for _ in range(repeats):
-        case = build_offbody_case(scenario, grouping=grouping)
-        tracer = SpanTracer()
-        sanitizer = Sanitizer(tracer=tracer)
-        t0 = time.perf_counter()
-        run = OffBodyDriver(case, tracer=tracer, sanitizer=sanitizer).run()
-        walls.append(time.perf_counter() - t0)
-        elapsed_seen.add(run.elapsed)
-    assert run is not None and sanitizer is not None and tracer is not None
-    if len(elapsed_seen) != 1:  # pragma: no cover - determinism guard
-        raise RuntimeError(
-            f"simulated elapsed time varied across repeats: "
-            f"{sorted(elapsed_seen)}"
-        )
-
-    rollup = run.rollup()
-    igbp = run.igbp_rollup()
-    cp = analyze_critical_path(tracer, igbp=igbp)
-    comm = CommMatrix.from_tracer(tracer, nranks=rollup.nranks)
-    san_report = sanitizer.report()
-    signature = run.physics_signature()
-
-    simulated = {
-        "elapsed_s": run.elapsed,
-        "time_per_step_s": run.time_per_step,
-        "mflops_per_node": run.mflops_per_node,
-        "pct_dcf3d": run.pct_dcf3d,
-        "nsteps": run.nsteps,
-        "nranks": run.nprocs,
-        "phases": rollup.breakdown(),
-        "imbalance": {
-            "I": [int(v) for v in igbp.accumulated()],
-            "ibar": igbp.ibar(),
-            "f": [float(v) for v in igbp.f()],
-            "f_max": float(igbp.f().max()) if igbp.nranks else 0.0,
-        },
-        "critical_path": cp.to_dict(),
-        "comm": comm.to_dict(top_k=5),
-        "trend": {},
-        "sanitizer": {
-            "ok": san_report.ok,
-            "counts": san_report.counts(),
-            "messages_sent": san_report.messages_sent,
-            "messages_received": san_report.messages_received,
-            "wildcard_recvs": san_report.wildcard_recvs,
-            "collectives": san_report.collectives,
-        },
-        "partition_history": [
-            [step, list(procs)] for step, procs in run.partition_history
-        ],
-        "offbody": {
-            "grouping": run.epochs[0].strategy if run.epochs else None,
-            "signature_sha": config_sha(signature),
-            "epochs": [
-                {
-                    "first_step": e.first_step,
-                    "npatches": e.npatches,
-                    "created": e.created,
-                    "destroyed": e.destroyed,
-                    "cut_points": e.cut_points,
-                    "cut_edges": e.cut_edges,
-                    "intra_edges": e.intra_edges,
-                    "balance_tau": e.balance_tau,
-                }
-                for e in run.epochs
-            ],
-        },
-    }
-    host: dict[str, Any] = {
-        "repeats": repeats,
-        "wall_s_median": statistics.median(walls),
-        "wall_s_all": walls,
-    }
-    if backend not in (None, "sim"):
-        case = build_offbody_case(scenario, grouping=grouping)
-        t0 = time.perf_counter()
-        mrun = OffBodyDriver(case, backend=backend).run()
-        wall = time.perf_counter() - t0
-        host["measured"] = {
-            "backend": backend,
-            "repeats": 1,
-            "elapsed_s_median": mrun.elapsed,
-            "elapsed_s_all": [mrun.elapsed],
-            "time_per_step_s": mrun.time_per_step,
-            "mflops_per_node": mrun.mflops_per_node,
-            "pct_dcf3d": mrun.pct_dcf3d,
-            "wall_s_all": [wall],
-            "igbp_matches_simulated": canonical_json(
-                mrun.physics_signature()
-            ) == canonical_json(signature),
-        }
-
-    config = {"scenario": scenario, "grouping": grouping, "backend": backend}
-    return {
-        "schema": BENCH_SCHEMA,
-        "case": scenario["name"],
-        "quick": False,
-        "config": config,
-        "config_sha": config_sha(config),
-        "simulated": simulated,
-        "host": host,
+        "igbp_matches_simulated": _physics(mrun) == sim_physics,
     }
 
 

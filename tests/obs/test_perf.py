@@ -336,6 +336,77 @@ class TestBenchPayload:
             assert spec.knobs(True)["nsteps"] <= spec.knobs(False)["nsteps"]
 
 
+def salvo_scenario(nsteps=2):
+    """The 2-body store-salvo seed-3 scenario, cut to ``nsteps``."""
+    from repro.offbody import generate_scenario
+
+    scn = generate_scenario("store-salvo", seed=3, nbodies=2)
+    scn["run"]["nsteps"] = nsteps
+    return scn
+
+
+class TestScenarioBenchPayload:
+    def test_simulated_section_deterministic_with_trend(self):
+        scn = salvo_scenario()
+        a = bench_payload(scn, repeats=1, microbench=False)
+        b = bench_payload(scn, repeats=1, microbench=False)
+        assert canonical_json(a["simulated"]) == canonical_json(
+            b["simulated"]
+        )
+        # The final repeat streamed through the store: one trend row
+        # per timestep, as for the built-in cases.
+        assert a["simulated"]["trend"]["steps"] == scn["run"]["nsteps"]
+        assert a["case"] == scn["name"] and a["quick"] is False
+        assert a["config"] == {"scenario": scn, "grouping": None}
+        assert a["config_sha"] == b["config_sha"]
+
+    def test_grouping_override_lands_in_config_and_offbody_block(self):
+        payload = bench_payload(
+            salvo_scenario(), repeats=1, microbench=False,
+            grouping="roundrobin",
+        )
+        assert payload["config"]["grouping"] == "roundrobin"
+        assert payload["simulated"]["offbody"]["grouping"] == "roundrobin"
+
+    def test_quick_is_rejected(self):
+        with pytest.raises(ValueError, match="quick"):
+            bench_payload(salvo_scenario(), quick=True)
+
+
+@pytest.mark.mp
+class TestMeasuredPass:
+    """The measured pass re-runs the case on real ranks; its physics
+    must match the simulated pass and every repeat must run."""
+
+    @pytest.fixture(autouse=True)
+    def _need_mp(self):
+        from repro.backend.mp import mp_available
+
+        if mp_available() is not None:
+            pytest.skip(str(mp_available()))
+
+    def test_overflow_case(self):
+        payload = bench_payload(
+            "x38", quick=True, repeats=1, microbench=False, backend="mp"
+        )
+        measured = payload["host"]["measured"]
+        assert measured["backend"] == "mp"
+        assert measured["igbp_matches_simulated"] is True
+        assert measured["repeats"] == 1
+        assert len(measured["wall_s_all"]) == 1
+
+    def test_scenario(self):
+        payload = bench_payload(
+            salvo_scenario(), repeats=2, microbench=False, backend="mp"
+        )
+        measured = payload["host"]["measured"]
+        assert measured["backend"] == "mp"
+        assert measured["igbp_matches_simulated"] is True
+        assert measured["repeats"] == 2
+        assert len(measured["wall_s_all"]) == 2
+        assert len(payload["host"]["wall_s_all"]) == 2
+
+
 # ----------------------------------------------------------------------
 # trace-diff
 

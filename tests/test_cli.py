@@ -356,6 +356,53 @@ class TestBench:
         with pytest.raises(SystemExit, match="unknown bench case"):
             main(["bench", "bogus", "--out", str(tmp_path)])
 
+    @pytest.mark.mp
+    @pytest.mark.cluster
+    def test_measured_pass_runs_on_the_cli_engine(self, monkeypatch, tmp_path):
+        """``--backend cluster --cluster-nodes 3`` builds one engine with
+        three nodes; the measured pass runs on it and it is closed once."""
+        import repro.backend as backend_mod
+        from repro.cluster import cluster_available
+
+        if cluster_available() is not None:
+            pytest.skip(str(cluster_available()))
+        real_get_backend = backend_mod.get_backend
+        engines = []
+        calls = {"run": 0, "close": 0}
+
+        def counted(fn, key):
+            def inner(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return inner
+
+        def get_backend(name="sim", **options):
+            engine = real_get_backend(name, **options)
+            if name != "sim":
+                engines.append((engine, options))
+                engine.run = counted(engine.run, "run")
+                engine.close = counted(engine.close, "close")
+            return engine
+
+        monkeypatch.setattr(backend_mod, "get_backend", get_backend)
+        rc = main([
+            "bench", "x38", "--quick", "--repeats", "2", "--no-microbench",
+            "--backend", "cluster", "--cluster-nodes", "3",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        assert len(engines) == 1
+        engine, options = engines[0]
+        assert options == {"nnodes": 3} and engine.nnodes == 3
+        # Two measured repeats, each at least one engine run.
+        assert calls["run"] >= 2
+        assert calls["close"] == 1
+        measured = json.loads((tmp_path / "BENCH_x38.json").read_text())[
+            "host"]["measured"]
+        assert measured["backend"] == "cluster"
+        assert measured["repeats"] == 2
+        assert measured["igbp_matches_simulated"] is True
+
 
 class TestBenchCompare:
     """Exit-code contract of `repro bench --compare`:
