@@ -40,6 +40,7 @@ from repro.backend.api import (
     RankProgram,
     available_backends,
     backend_help,
+    check_run_args,
     get_backend,
     register_backend,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "SimBackend",
     "available_backends",
     "backend_help",
+    "check_run_args",
     "get_backend",
     "register_backend",
 ]

@@ -14,12 +14,14 @@ This module pins that contract down:
 * :class:`CommProtocol` — the rank-facing communicator surface
   (structural; :class:`repro.machine.simmpi.Comm` satisfies it, and so
   does any group communicator derived from it).
-* :class:`BackendResult` — what an execution produces.  Field-compatible
-  with :class:`repro.machine.scheduler.SimulationResult` (``elapsed``,
-  ``returns``, ``metrics``, ``failed_ranks``) so existing drivers keep
-  working unchanged, plus backend provenance (``backend``, ``measured``).
+* :class:`BackendResult` — what an execution produces, on every engine
+  and from a bare :class:`repro.machine.scheduler.Simulator` alike:
+  ``elapsed``, ``returns``, ``metrics``, ``failed_ranks`` plus backend
+  provenance (``backend``, ``measured``).
 * :class:`ExecutionBackend` — the engine interface: take a machine and a
   list of rank programs, run them to completion, return a result.
+* :func:`check_run_args` — the one validation every engine's ``run``
+  starts with, so a bad argument reads the same on every engine.
 * a registry (:func:`register_backend` / :func:`get_backend` /
   :func:`available_backends`) so drivers and the CLI select engines by
   name (``--backend sim``, ``--backend mp``).
@@ -49,6 +51,7 @@ __all__ = [
     "RankProgram",
     "BackendResult",
     "BackendUnavailable",
+    "check_run_args",
     "ExecutionBackend",
     "register_backend",
     "get_backend",
@@ -143,12 +146,14 @@ class CommProtocol(Protocol):
 
 @dataclass
 class BackendResult:
-    """Outcome of one backend execution.
+    """Outcome of one execution on any engine.
 
-    Quacks like :class:`repro.machine.scheduler.SimulationResult` —
-    the four result fields drivers consume (``elapsed``, ``returns``,
-    ``metrics``, ``failed_ranks``) carry the same types and meaning —
-    with two provenance fields on top:
+    ``elapsed`` is the latest final rank clock, ``returns`` the rank
+    programs' return values by rank, ``metrics`` the per-rank
+    :class:`repro.machine.metrics.MachineMetrics`, ``failed_ranks`` the
+    ranks a fault plan fail-stopped (only a bare simulator run with
+    ``raise_on_failure=False`` returns a non-empty tuple).  Two
+    provenance fields sit on top:
 
     ``backend``
         Registry name of the engine that produced this result.
@@ -221,18 +226,15 @@ class ExecutionBackend(abc.ABC):
         fault_plan: Any = None,
         initial_clocks: Sequence[float] | None = None,
         initial_metrics: Sequence[Any] | None = None,
-        eager_hooks: bool = False,
-        max_events: int = 500_000_000,
-        raise_on_failure: bool = True,
     ) -> BackendResult:
         """Run one program per rank to completion.
 
         ``programs[i]`` runs as rank ``i``; ``len(programs)`` must not
         exceed ``machine.nodes``.  Keyword arguments mirror
-        :class:`repro.machine.scheduler.Simulator`; backends that do
-        not support a feature (e.g. fault injection outside the
-        simulator) raise :class:`ValueError` when it is requested
-        rather than silently ignoring it.
+        :class:`repro.machine.scheduler.Simulator`.  Implementations
+        start with :func:`check_run_args`, which raises
+        :class:`ValueError` for a feature the engine cannot honour
+        (fault injection on a measured engine) rather than ignoring it.
         """
 
     def run_spmd(
@@ -256,6 +258,65 @@ class ExecutionBackend(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r}>"
+
+
+def check_run_args(
+    machine: Any = None,
+    programs: Sequence[Any] | None = None,
+    *,
+    measured: bool = False,
+    tracer: Any = None,
+    sanitizer: Any = None,
+    fault_plan: Any = None,
+    initial_clocks: Sequence[float] | None = None,
+    initial_metrics: Sequence[Any] | None = None,
+) -> Any:
+    """Reject a run its engine cannot honour; return the tracer to use.
+
+    ``measured`` is the engine's :attr:`ExecutionBackend.measured`: the
+    sanitizer and fault injection need deterministic virtual time, so
+    a measured engine refuses both.  With ``programs=None`` only those
+    feature checks run (drivers call it so at construction, before any
+    set-up work).  Otherwise there must be 1 to ``machine.nodes``
+    programs (only counted: a bare simulator passes its spawn entries)
+    and one ``initial_clocks``/``initial_metrics`` entry per program.
+
+    Returns ``None`` for a missing or disabled tracer; an enabled one
+    is switched to the wall clock when the engine is measured.
+    """
+    if measured:
+        if sanitizer is not None:
+            raise ValueError(
+                "the sanitizer shadow layer needs deterministic virtual "
+                "time; use --backend sim for sanitized runs"
+            )
+        if fault_plan:
+            raise ValueError(
+                "fault injection needs deterministic virtual time; use "
+                "--backend sim for fault experiments (a measured engine "
+                "sees real faults: kill a worker or a node daemon)"
+            )
+    if programs is not None:
+        n = len(programs)
+        if n == 0:
+            raise ValueError("no rank programs given")
+        if n > machine.nodes:
+            raise ValueError(
+                f"machine has {machine.nodes} nodes; cannot run {n} ranks"
+            )
+        if initial_clocks is not None and len(initial_clocks) != n:
+            raise ValueError(
+                f"initial_clocks has {len(initial_clocks)} entries for {n} ranks"
+            )
+        if initial_metrics is not None and len(initial_metrics) != n:
+            raise ValueError(
+                f"initial_metrics has {len(initial_metrics)} entries for {n} ranks"
+            )
+    if tracer is None or not tracer.enabled:
+        return None
+    if measured:
+        tracer.clock = "wall"
+    return tracer
 
 
 # ----------------------------------------------------------------------

@@ -64,13 +64,21 @@ from repro.backend.api import (
     BackendUnavailable,
     ExecutionBackend,
     RankProgram,
+    check_run_args,
 )
 from repro.machine.event import Mailbox, Message
 from repro.machine.faults import RankFailure
 from repro.machine.metrics import MachineMetrics, RankMetrics
 from repro.machine.simmpi import Comm
+from repro.obs.tracer import SpanTracer
 
-__all__ = ["MpBackend", "CTRL_TAG", "mp_available"]
+__all__ = [
+    "MpBackend",
+    "CTRL_TAG",
+    "mp_available",
+    "result_from_workers",
+    "stop_workers",
+]
 
 #: Tag carried by every control-channel frame.  Sits above the entire
 #: collective tag space (``simmpi._COLL_TAG_BASE`` + named collectives
@@ -85,6 +93,11 @@ _FRAME_SHM_PICKLE = 2  # oversized pickle staged through shared memory
 
 _INF = math.inf
 _run_counter = itertools.count()
+
+#: Seconds a worker gets to exit after each control verb before it is
+#: terminated: a released worker may still be flushing its last frames,
+#: an aborted one only has to notice the frame.
+_GRACE = {"exit": 5.0, "abort": 2.0}
 
 
 def mp_available() -> str | None:
@@ -116,18 +129,6 @@ def _untrack_shm(name: str) -> None:
 
 class _Abort(Exception):
     """Parent told this worker to stop (a peer failed)."""
-
-
-class _TraceLog:
-    """Per-worker event buffers mirroring :class:`SpanTracer` lists."""
-
-    __slots__ = ("ops", "phases", "sends", "recvs")
-
-    def __init__(self) -> None:
-        self.ops: list[tuple] = []
-        self.phases: list[tuple] = []
-        self.sends: list[tuple] = []
-        self.recvs: list[tuple] = []
 
 
 class _Engine:
@@ -171,7 +172,9 @@ class _Engine:
         self.metrics = metrics
         self.mailbox = Mailbox()
         self.phase = "default"
-        self.events = _TraceLog() if trace else None
+        # Spans are appended to the tracer's lists directly (its origin
+        # offset is 0 here); the parent replays them into its tracer.
+        self.events = SpanTracer() if trace else None
         self._seq = 0       # sender-local: strictly increasing per sender
         self._arrival = 0   # receiver-local arrival ordinal
         self._clock0 = start_clock
@@ -456,7 +459,9 @@ class _Engine:
         if kind == "set_phase":
             old, self.phase = self.phase, op[1]
             if self.events is not None:
-                self.events.phases.append((self.rank, self.wall(), self.phase))
+                self.events.phase_marks.append(
+                    (self.rank, self.wall(), self.phase)
+                )
             return old
         raise ValueError(  # pragma: no cover - API misuse guard
             f"unknown primitive op {kind!r} from rank {self.rank}"
@@ -508,15 +513,8 @@ def _worker_main(
         )
         comm = Comm(rank, nranks, machine)
         retval = engine.run(program(comm))
-        events = engine.events
         payload = pickle.dumps(
-            (
-                retval,
-                engine.metrics,
-                None
-                if events is None
-                else (events.ops, events.phases, events.sends, events.recvs),
-            ),
+            (retval, engine.metrics, engine.events),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         ctrl.send((CTRL_TAG, "done", payload))
@@ -607,41 +605,18 @@ class MpBackend(ExecutionBackend):
         fault_plan: Any = None,
         initial_clocks: Sequence[float] | None = None,
         initial_metrics: Sequence[Any] | None = None,
-        eager_hooks: bool = False,
-        max_events: int = 500_000_000,
-        raise_on_failure: bool = True,
     ) -> BackendResult:
-        if sanitizer is not None:
-            raise ValueError(
-                "the sanitizer shadow layer needs deterministic virtual "
-                "time; use --backend sim for sanitized runs"
-            )
-        if fault_plan:
-            raise ValueError(
-                "fault injection needs deterministic virtual time; "
-                "use --backend sim for fault experiments"
-            )
+        tracer = check_run_args(
+            machine,
+            programs,
+            measured=self.measured,
+            tracer=tracer,
+            sanitizer=sanitizer,
+            fault_plan=fault_plan,
+            initial_clocks=initial_clocks,
+            initial_metrics=initial_metrics,
+        )
         n = len(programs)
-        if n == 0:
-            raise ValueError("no rank programs given")
-        if n > machine.nodes:
-            raise ValueError(
-                f"machine has {machine.nodes} nodes; cannot run {n} ranks"
-            )
-        if initial_clocks is not None and len(initial_clocks) != n:
-            raise ValueError(
-                f"initial_clocks has {len(initial_clocks)} entries for {n} ranks"
-            )
-        if initial_metrics is not None and len(initial_metrics) != n:
-            raise ValueError(
-                f"initial_metrics has {len(initial_metrics)} entries for {n} ranks"
-            )
-        trace_enabled = tracer is not None and getattr(tracer, "enabled", False)
-        if trace_enabled and getattr(tracer, "clock", "virtual") == "virtual":
-            try:
-                tracer.clock = "wall"
-            except AttributeError:  # pragma: no cover - exotic tracer
-                pass
 
         ctx = get_context("fork")
         runid = f"repro_mp_{os.getpid()}_{next(_run_counter)}"
@@ -690,7 +665,7 @@ class MpBackend(ExecutionBackend):
                         sleep_cap=self.sleep_cap,
                         start_clock=clk,
                         metrics=met,
-                        trace=trace_enabled,
+                        trace=tracer is not None,
                     ),
                     daemon=True,
                     name=f"repro-mp-{rank}",
@@ -708,50 +683,8 @@ class MpBackend(ExecutionBackend):
                 procs, ctrl_parent, t_start, n
             )
         finally:
-            self._teardown(procs, ctrl_parent, runid)
-
-        if errors:
-            rank = min(errors)
-            blob, tb = errors[rank]
-            exc: BaseException | None = None
-            if blob is not None:
-                try:
-                    exc = pickle.loads(blob)
-                except Exception:
-                    exc = None
-            if exc is None:
-                exc = RuntimeError(
-                    f"rank {rank} raised in the mp backend:\n{tb}"
-                )
-            else:
-                exc.add_note(f"raised in mp worker rank {rank}:\n{tb}")
-            raise exc
-        if failed:
-            raise RankFailure(
-                failed=failed,
-                time=max(failed.values()),
-                blocked=[],
-                completed=sorted(done),
-                nranks=n,
-            )
-
-        returns: list[Any] = [None] * n
-        metrics_list: list[RankMetrics] = [RankMetrics(r) for r in range(n)]
-        for rank, payload in done.items():
-            retval, met, events = pickle.loads(payload)
-            returns[rank] = retval
-            metrics_list[rank] = met
-            if events is not None and trace_enabled:
-                self._merge_trace(tracer, events)
-        metrics = MachineMetrics(metrics_list)
-        return BackendResult(
-            elapsed=metrics.elapsed,
-            returns=returns,
-            metrics=metrics,
-            failed_ranks=(),
-            backend=self.name,
-            measured=True,
-        )
+            stop_workers(procs, ctrl_parent, runid, "exit")
+        return result_from_workers(self.name, n, done, errors, failed, tracer)
 
     # ------------------------------------------------------------------
 
@@ -822,46 +755,106 @@ class MpBackend(ExecutionBackend):
         except (EOFError, OSError):
             pass
 
-    def _teardown(self, procs: list, ctrls: list, runid: str) -> None:
-        """Stop every worker and sweep shared-memory leftovers."""
-        for c in ctrls:
-            try:
-                c.send((CTRL_TAG, "exit", None))
-            except (BrokenPipeError, OSError):
-                pass
-        deadline = time.monotonic() + 5.0
-        for p in procs:
-            p.join(timeout=max(0.0, deadline - time.monotonic()))
-        for p in procs:
-            if p.is_alive():
-                p.terminate()
-        for p in procs:
-            if p.is_alive():  # pragma: no cover - terminate is enough
-                p.join(timeout=1.0)
-        for p in procs:
-            p.close()
-        for c in ctrls:
-            try:
-                c.close()
-            except OSError:  # pragma: no cover
-                pass
-        # Messages in flight at abort time may have staged segments that
-        # no receiver will ever unlink; the run id makes them findable.
-        for path in glob.glob(f"/dev/shm/{runid}_*"):
-            try:
-                os.unlink(path)
-            except OSError:  # pragma: no cover - already gone
-                pass
 
-    @staticmethod
-    def _merge_trace(tracer: Any, events: tuple) -> None:
-        """Replay a worker's event buffers through the tracer API."""
-        ops, phases, sends, recvs = events
-        for rank, phase, kind, t0, t1, flops, nbytes in ops:
-            tracer.op(rank, phase, kind, t0, t1, flops, nbytes)
-        for rank, t, name in phases:
-            tracer.phase(rank, t, name)
-        for t, src, dst, tag, nbytes, phase in sends:
-            tracer.send(t, src, dst, tag, nbytes, phase)
-        for t, rank, src, tag, nbytes, phase in recvs:
-            tracer.recv(t, rank, src, tag, nbytes, phase)
+def stop_workers(procs: Sequence[Any], ctrls: Sequence[Any], runid: str,
+                 verb: str) -> None:
+    """Stop a run's workers and sweep its shared-memory leftovers.
+
+    Sends ``verb`` (``"exit"`` once every rank is done, ``"abort"`` on
+    failure) down each control pipe, gives the workers
+    ``_GRACE[verb]`` seconds, terminates stragglers, closes the process
+    handles and control pipes, and unlinks every
+    ``/dev/shm/<runid>_*`` segment: messages staged but never received
+    (a peer failed first) would otherwise outlive the run.
+    """
+    for c in ctrls:
+        try:
+            c.send((CTRL_TAG, verb, None))
+        except OSError:
+            pass
+    deadline = time.monotonic() + _GRACE[verb]
+    for p in procs:
+        p.join(timeout=max(0.0, deadline - time.monotonic()))
+    for p in procs:
+        if p.is_alive():
+            p.terminate()
+            p.join(timeout=1.0)
+    for p in procs:
+        p.close()
+    for c in ctrls:
+        try:
+            c.close()
+        except OSError:  # pragma: no cover
+            pass
+    for path in glob.glob(f"/dev/shm/{runid}_*"):
+        try:
+            os.unlink(path)
+        except OSError:  # pragma: no cover - already gone
+            pass
+
+
+def result_from_workers(
+    engine: str,
+    n: int,
+    done: dict[int, bytes],
+    errors: dict[int, tuple],
+    failed: dict[int, float],
+    tracer: Any,
+) -> BackendResult:
+    """Turn the per-rank outcomes of one measured run into its result.
+
+    ``done`` maps a rank to its pickled ``(return value, RankMetrics,
+    SpanTracer or None)``, ``errors`` to its ``(pickled exception or
+    None, traceback text)`` and ``failed`` to the run second at which
+    it crashed, was lost or timed out.  The lowest rank's program error
+    is re-raised with its traceback as a note; otherwise any failure
+    raises :class:`RankFailure`.  A clean run's worker spans are
+    replayed into ``tracer`` (``None`` when tracing is off).
+    """
+    if errors:
+        rank = min(errors)
+        blob, tb = errors[rank]
+        exc: BaseException | None = None
+        if blob is not None:
+            try:
+                exc = pickle.loads(blob)
+            except Exception:
+                exc = None
+        if exc is None:
+            exc = RuntimeError(
+                f"rank {rank} raised in the {engine} backend:\n{tb}"
+            )
+        else:
+            exc.add_note(f"raised in {engine} worker rank {rank}:\n{tb}")
+        raise exc
+    if failed:
+        raise RankFailure(
+            failed=failed,
+            time=max(failed.values()),
+            blocked=[],
+            completed=sorted(done),
+            nranks=n,
+        )
+    returns: list[Any] = [None] * n
+    metrics_list: list[RankMetrics] = [RankMetrics(r) for r in range(n)]
+    for rank in sorted(done):
+        retval, met, events = pickle.loads(done[rank])
+        returns[rank] = retval
+        metrics_list[rank] = met
+        if events is not None and tracer is not None:
+            for op in events.ops:
+                tracer.op(*op)
+            for mark in events.phase_marks:
+                tracer.phase(*mark)
+            for send in events.sends:
+                tracer.send(*send)
+            for recv in events.recvs:
+                tracer.recv(*recv)
+    metrics = MachineMetrics(metrics_list)
+    return BackendResult(
+        elapsed=metrics.elapsed,
+        returns=returns,
+        metrics=metrics,
+        backend=engine,
+        measured=True,
+    )

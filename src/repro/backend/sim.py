@@ -12,7 +12,12 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.backend.api import BackendResult, ExecutionBackend, RankProgram
+from repro.backend.api import (
+    BackendResult,
+    ExecutionBackend,
+    RankProgram,
+    check_run_args,
+)
 from repro.machine.scheduler import Simulator
 
 __all__ = ["SimBackend"]
@@ -42,33 +47,21 @@ class SimBackend(ExecutionBackend):
         fault_plan: Any = None,
         initial_clocks: Sequence[float] | None = None,
         initial_metrics: Sequence[Any] | None = None,
-        eager_hooks: bool = False,
-        max_events: int = 500_000_000,
-        raise_on_failure: bool = True,
     ) -> BackendResult:
-        if not programs:
-            raise ValueError("no rank programs given")
+        check_run_args(
+            machine,
+            programs,
+            initial_clocks=initial_clocks,
+            initial_metrics=initial_metrics,
+        )
         sim = Simulator(
             machine,
             tracer=tracer,
             fault_plan=fault_plan,
-            initial_clocks=(
-                list(initial_clocks) if initial_clocks is not None else None
-            ),
-            initial_metrics=(
-                list(initial_metrics) if initial_metrics is not None else None
-            ),
+            initial_clocks=initial_clocks,
+            initial_metrics=initial_metrics,
             sanitizer=sanitizer,
-            eager_hooks=eager_hooks,
         )
         for program in programs:
             sim.spawn(program)
-        out = sim.run(max_events=max_events, raise_on_failure=raise_on_failure)
-        return BackendResult(
-            elapsed=out.elapsed,
-            returns=out.returns,
-            metrics=out.metrics,
-            failed_ranks=out.failed_ranks,
-            backend=self.name,
-            measured=False,
-        )
+        return sim.run()

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import pickle
 from typing import Any, Sequence
 
 from repro.backend.api import (
@@ -32,12 +31,13 @@ from repro.backend.api import (
     BackendUnavailable,
     ExecutionBackend,
     RankProgram,
+    check_run_args,
 )
-from repro.backend.mp import MpBackend, mp_available
+from repro.backend.mp import mp_available, result_from_workers
 from repro.cluster.head import ClusterSupervisor
 from repro.cluster.placement import Placement
 from repro.cluster.shipping import blobs_sha, ship_program
-from repro.machine.metrics import MachineMetrics, RankMetrics
+from repro.machine.metrics import RankMetrics
 
 __all__ = ["ClusterBackend", "cluster_available"]
 
@@ -170,43 +170,18 @@ class ClusterBackend(ExecutionBackend):
         fault_plan: Any = None,
         initial_clocks: Sequence[float] | None = None,
         initial_metrics: Sequence[Any] | None = None,
-        eager_hooks: bool = False,
-        max_events: int = 500_000_000,
-        raise_on_failure: bool = True,
     ) -> BackendResult:
-        if sanitizer is not None:
-            raise ValueError(
-                "the sanitizer shadow layer needs deterministic virtual "
-                "time; use --backend sim for sanitized runs"
-            )
-        if fault_plan:
-            raise ValueError(
-                "fault injection needs deterministic virtual time; "
-                "use --backend sim for fault experiments (the cluster "
-                "backend experiences real faults: kill a node daemon)"
-            )
+        tracer = check_run_args(
+            machine,
+            programs,
+            measured=self.measured,
+            tracer=tracer,
+            sanitizer=sanitizer,
+            fault_plan=fault_plan,
+            initial_clocks=initial_clocks,
+            initial_metrics=initial_metrics,
+        )
         n = len(programs)
-        if n == 0:
-            raise ValueError("no rank programs given")
-        if n > machine.nodes:
-            raise ValueError(
-                f"machine has {machine.nodes} nodes; cannot run {n} ranks"
-            )
-        if initial_clocks is not None and len(initial_clocks) != n:
-            raise ValueError(
-                f"initial_clocks has {len(initial_clocks)} entries for {n} ranks"
-            )
-        if initial_metrics is not None and len(initial_metrics) != n:
-            raise ValueError(
-                f"initial_metrics has {len(initial_metrics)} entries for {n} ranks"
-            )
-        trace_enabled = tracer is not None and getattr(tracer, "enabled", False)
-        if trace_enabled and getattr(tracer, "clock", "virtual") == "virtual":
-            try:
-                tracer.clock = "wall"
-            except AttributeError:  # pragma: no cover - exotic tracer
-                pass
-
         sup = self.supervisor
         alive = sup.alive_ids()
         if not alive:
@@ -239,7 +214,7 @@ class ClusterBackend(ExecutionBackend):
             if initial_metrics is not None
             else [RankMetrics(r) for r in range(n)]
         )
-        done = sup.run_chunk(
+        done, errors, failed = sup.run_chunk(
             runid=runid,
             machine=machine,
             nranks=n,
@@ -254,24 +229,7 @@ class ClusterBackend(ExecutionBackend):
             },
             clocks=clocks,
             metrics=metrics_in,
-            trace=trace_enabled,
+            trace=tracer is not None,
             timeout=self.timeout,
         )
-
-        returns: list[Any] = [None] * n
-        metrics_list: list[RankMetrics] = [RankMetrics(r) for r in range(n)]
-        for rank, payload in done.items():
-            retval, met, events = pickle.loads(payload)
-            returns[rank] = retval
-            metrics_list[rank] = met
-            if events is not None and trace_enabled:
-                MpBackend._merge_trace(tracer, events)
-        metrics = MachineMetrics(metrics_list)
-        return BackendResult(
-            elapsed=metrics.elapsed,
-            returns=returns,
-            metrics=metrics,
-            failed_ranks=(),
-            backend=self.name,
-            measured=True,
-        )
+        return result_from_workers(self.name, n, done, errors, failed, tracer)

@@ -9,7 +9,8 @@ frames by destination rank, collect per-rank results, and tear the
 chunk down on success or failure.
 
 Failure detection is two-layered, both surfacing as the same typed
-:class:`repro.machine.faults.RankFailure` the mp backend raises:
+:class:`repro.machine.faults.RankFailure` the mp backend raises (the
+two engines share :func:`repro.backend.mp.result_from_workers`):
 
 * a node socket hitting EOF (daemon crashed, host died, SIGKILL) fails
   that node's still-pending ranks immediately;
@@ -25,7 +26,6 @@ shrink-and-continue recovery possible without any rejoin choreography.
 from __future__ import annotations
 
 import os
-import pickle
 import select
 import socket
 import subprocess
@@ -45,7 +45,6 @@ from repro.cluster.protocol import (
     send_data,
     send_payload,
 )
-from repro.machine.faults import RankFailure
 
 __all__ = ["ClusterSupervisor", "NodeHandle"]
 
@@ -250,12 +249,13 @@ class ClusterSupervisor:
         metrics: list[Any],
         trace: bool,
         timeout: float | None,
-    ) -> dict[int, bytes]:
-        """Run one chunk to completion; returns ``{rank: done_payload}``.
+    ) -> tuple[dict[int, bytes], dict[int, tuple], dict[int, float]]:
+        """Run one chunk until it completes or fails; tear it down.
 
-        Raises the worker's own exception for a program error (mp
-        semantics: lowest rank wins, traceback attached as a note) and
-        :class:`RankFailure` for crashed/lost/timed-out ranks.
+        Returns the ``(done, errors, failed)`` rank outcomes in the
+        shape :func:`repro.backend.mp.result_from_workers` turns into a
+        result or an exception: ranks lost with a node, crashed or timed
+        out are in ``failed``.
         """
         self.start()
         participants = [self.nodes[nid] for nid in placement.node_ids]
@@ -375,31 +375,7 @@ class ClusterSupervisor:
         else:
             self._finish_chunk(participants, runid)
 
-        if errors:
-            rank = min(errors)
-            blob, tb = errors[rank]
-            exc: BaseException | None = None
-            if blob is not None:
-                try:
-                    exc = pickle.loads(blob)
-                except Exception:
-                    exc = None
-            if exc is None:
-                exc = RuntimeError(
-                    f"rank {rank} raised in the cluster backend:\n{tb}"
-                )
-            else:
-                exc.add_note(f"raised in cluster worker rank {rank}:\n{tb}")
-            raise exc
-        if failed:
-            raise RankFailure(
-                failed=failed,
-                time=max(failed.values()),
-                blocked=[],
-                completed=sorted(done),
-                nranks=nranks,
-            )
-        return done
+        return done, errors, failed
 
     def _abort_chunk(self, participants: list[NodeHandle], runid: str) -> None:
         for h in participants:

@@ -39,7 +39,6 @@ their control pipe close and kill themselves.
 
 from __future__ import annotations
 
-import glob
 import os
 import pickle
 import select
@@ -56,6 +55,7 @@ from repro.backend.mp import (
     _FRAME_SHM_PICKLE,
     _untrack_shm,
     _worker_main,
+    stop_workers,
 )
 from repro.cluster import shipping
 from repro.cluster.protocol import (
@@ -336,12 +336,26 @@ class NodeDaemon:
 
         send_control(sock, {"op": "ready", "runid": runid,
                             "config_sha": declared, "ranks": local})
+        verb = "abort"  # also when the head is lost mid-chunk
         try:
-            self._pump_chunk(
+            verb = self._pump_chunk(
                 runid, local, writers, locks, ctrls, uplinks, procs,
             )
         finally:
-            self._teardown_chunk(runid, local, writers, ctrls, uplinks, procs)
+            stop_workers(
+                [procs[r] for r in local], [ctrls[r] for r in local],
+                runid, verb,
+            )
+            for r in local:
+                for conn in (writers[r], uplinks[r]):
+                    try:
+                        conn.close()
+                    except OSError:  # pragma: no cover
+                        pass
+        send_control(sock, {
+            "op": "chunk_done" if verb == "exit" else "chunk_aborted",
+            "runid": runid,
+        })
 
     def _pump_chunk(
         self,
@@ -352,9 +366,10 @@ class NodeDaemon:
         ctrls: dict[int, Any],
         uplinks: dict[int, Any],
         procs: dict[int, Any],
-    ) -> None:
+    ) -> str:
         """Route frames and supervise local workers until the head ends
-        the chunk (``exit_chunk``/``abort``) or dies."""
+        the chunk or dies; returns the verb to stop the workers with
+        (``"exit"`` for ``exit_chunk``, ``"abort"`` for ``abort``)."""
         sock = self._sock
         assert sock is not None
         pending = set(local)         # ranks with no done/error/crash yet
@@ -417,17 +432,9 @@ class NodeDaemon:
                     elif kind == "control":
                         op = body.get("op")
                         if op == "abort":
-                            self._abort_workers(ctrls, procs)
-                            send_control(sock, {
-                                "op": "chunk_aborted", "runid": runid,
-                            })
-                            return
+                            return "abort"
                         if op == "exit_chunk":
-                            self._release_workers(ctrls, procs)
-                            send_control(sock, {
-                                "op": "chunk_done", "runid": runid,
-                            })
-                            return
+                            return "exit"
 
             # -- frames from local workers ------------------------------
             for r, ur in list(open_uplinks.items()):
@@ -497,65 +504,6 @@ class NodeDaemon:
             (src, tag, seq, nbytes, (_FRAME_SHM_PICKLE, (name, len(data)))),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-
-    # ---------------------------------------------------------- teardown
-
-    @staticmethod
-    def _abort_workers(ctrls: dict[int, Any], procs: dict[int, Any]) -> None:
-        for rank in sorted(ctrls):
-            try:
-                ctrls[rank].send((CTRL_TAG, "abort", None))
-            except (BrokenPipeError, OSError):
-                pass
-        deadline = time.monotonic() + 2.0
-        for p in procs.values():
-            p.join(timeout=max(0.0, deadline - time.monotonic()))
-        for p in procs.values():
-            if p.is_alive():
-                p.terminate()
-
-    @staticmethod
-    def _release_workers(ctrls: dict[int, Any], procs: dict[int, Any]) -> None:
-        for rank in sorted(ctrls):
-            try:
-                ctrls[rank].send((CTRL_TAG, "exit", None))
-            except (BrokenPipeError, OSError):
-                pass
-        deadline = time.monotonic() + 5.0
-        for p in procs.values():
-            p.join(timeout=max(0.0, deadline - time.monotonic()))
-        for p in procs.values():
-            if p.is_alive():  # pragma: no cover - exit is enough
-                p.terminate()
-
-    def _teardown_chunk(
-        self,
-        runid: str,
-        local: list[int],
-        writers: list[Any],
-        ctrls: dict[int, Any],
-        uplinks: dict[int, Any],
-        procs: dict[int, Any],
-    ) -> None:
-        for p in procs.values():
-            if p.is_alive():
-                p.terminate()
-                p.join(timeout=1.0)
-        for p in procs.values():
-            p.close()
-        for r in local:
-            for conn in (writers[r], ctrls[r], uplinks[r]):
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-        # Sweep staged segments no receiver will ever unlink (aborted
-        # messages in flight) — same policy as the mp backend.
-        for path in glob.glob(f"/dev/shm/{runid}_*"):
-            try:
-                os.unlink(path)
-            except OSError:  # pragma: no cover - already gone
-                pass
 
 
 def main(argv: list[str] | None = None) -> int:  # pragma: no cover - CLI shim

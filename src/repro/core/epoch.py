@@ -16,7 +16,12 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from repro.backend import BackendResult, ExecutionBackend, get_backend
+from repro.backend import (
+    BackendResult,
+    ExecutionBackend,
+    check_run_args,
+    get_backend,
+)
 from repro.machine.faults import FaultPlan, FaultSpec, RankFailure
 from repro.machine.metrics import MachineMetrics
 from repro.machine.spec import MachineSpec
@@ -178,24 +183,18 @@ def driver_options(
 ) -> tuple[ExecutionBackend, Any, FaultPlan | None]:
     """Normalise a driver's constructor arguments into ``(backend,
     tracer, fault_plan)``: registry lookup, ``None`` for a disabled
-    tracer or an empty plan, spec strings parsed.  The sanitizer and
-    fault injection need a ``shared_state`` backend (the simulator).
+    tracer or an empty plan, spec strings parsed.  The engine's feature
+    checks (:func:`repro.backend.check_run_args`) run here, so a
+    driver fails before any set-up work.
     """
     if not isinstance(backend, ExecutionBackend):
         backend = get_backend(backend)
-    if not backend.shared_state:
-        if sanitizer is not None:
-            raise ValueError(
-                "the sanitizer needs the deterministic simulator; "
-                "run with backend='sim'"
-            )
-        if fault_plan:
-            raise ValueError(
-                "fault injection needs the deterministic simulator; "
-                "run with backend='sim'"
-            )
-    if tracer is not None and not tracer.enabled:
-        tracer = None
+    tracer = check_run_args(
+        measured=backend.measured,
+        tracer=tracer,
+        sanitizer=sanitizer,
+        fault_plan=fault_plan,
+    )
     if isinstance(fault_plan, str):
         fault_plan = FaultPlan.parse(fault_plan)
     elif isinstance(fault_plan, (list, tuple)):

@@ -596,9 +596,8 @@ class OverflowD1:
         """Simulate ``nsteps`` timesteps at a fixed partition.
 
         ``clocks``/``metrics`` warm-start the per-rank virtual clocks
-        and counter accumulators (continuing a split epoch); returns a
-        :class:`repro.backend.BackendResult` (field-compatible with the
-        scheduler's ``SimulationResult``).
+        and counter accumulators (continuing a split epoch); returns the
+        engine's :class:`repro.backend.BackendResult`.
 
         Backends without shared state (real processes) need three
         deviations, all behind ``shared_state``:

@@ -37,7 +37,7 @@ from repro.machine.spec import (
 from repro.machine.event import Message, Mailbox, ANY_SOURCE, ANY_TAG
 from repro.machine.simmpi import MAX_USER_TAG, Comm, Request, Status, describe_tag
 from repro.machine.faults import FaultSpec, FaultPlan, RankFailure
-from repro.machine.scheduler import Simulator, SimulationResult, DeadlockError
+from repro.machine.scheduler import Simulator, DeadlockError
 from repro.machine.metrics import RankMetrics, MachineMetrics
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "FaultPlan",
     "RankFailure",
     "Simulator",
-    "SimulationResult",
     "DeadlockError",
     "RankMetrics",
     "MachineMetrics",

@@ -3,7 +3,8 @@
 The paper's evaluation reports three derived statistics per run (Tables
 1--6): average Mflops/node, parallel speedup, and percentage of time in
 the connectivity solution.  All three come from per-phase virtual-time
-accounting collected here.  A *phase* is a caller-chosen label
+accounting collected here and aggregated by
+:class:`repro.obs.rollup.PhaseRollup`.  A *phase* is a caller-chosen label
 ("overflow", "dcf3d", "motion", ...) set through
 :meth:`repro.machine.simmpi.Comm.set_phase`; within a phase, time is
 split into ``compute`` (charged flops), ``comm`` (message injection and
@@ -65,7 +66,12 @@ class RankMetrics:
 
 
 class MachineMetrics:
-    """Aggregate view over all ranks of one simulation."""
+    """The per-rank accounting of one run.
+
+    A container only: per-phase aggregates (max/avg, imbalance,
+    fractions) live in :class:`repro.obs.rollup.PhaseRollup`, built
+    with ``PhaseRollup.from_metrics(metrics)``.
+    """
 
     def __init__(self, ranks: list[RankMetrics]):
         if not ranks:
@@ -81,60 +87,5 @@ class MachineMetrics:
         """Virtual wall-clock of the run: the latest final rank clock."""
         return max(r.final_clock for r in self.ranks)
 
-    def phases(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for r in self.ranks:
-            for p in r.time:
-                seen.setdefault(p)
-        return list(seen)
-
-    def phase_time_max(self, phase: str) -> float:
-        """Critical-path estimate: slowest rank's time in ``phase``.
-
-        With barriers between phases (as in OVERFLOW-D1) the elapsed time
-        of a phase is governed by its slowest rank.
-        """
-        return max(r.phase_time(phase) for r in self.ranks)
-
-    def phase_time_avg(self, phase: str) -> float:
-        return sum(r.phase_time(phase) for r in self.ranks) / self.nranks
-
-    def phase_fraction(self, phase: str) -> float:
-        """Fraction of total (summed over ranks) time spent in ``phase``."""
-        total = sum(r.total_time() for r in self.ranks)
-        if total == 0:
-            return 0.0
-        return sum(r.phase_time(phase) for r in self.ranks) / total
-
-    def imbalance(self, phase: str) -> float:
-        """max/avg load-imbalance factor for a phase (1.0 = perfect)."""
-        avg = self.phase_time_avg(phase)
-        if avg == 0:
-            return 1.0
-        return self.phase_time_max(phase) / avg
-
     def total_flops(self) -> float:
         return sum(r.total_flops() for r in self.ranks)
-
-    def mflops_per_node(self) -> float:
-        """Average Mflop/s/node over the run (the paper's Table-1 metric)."""
-        if self.elapsed == 0:
-            return 0.0
-        return self.total_flops() / self.elapsed / self.nranks / 1.0e6
-
-    def summary(self) -> dict:
-        """Plain-dict summary convenient for printing/serialising."""
-        return {
-            "nranks": self.nranks,
-            "elapsed": self.elapsed,
-            "mflops_per_node": self.mflops_per_node(),
-            "phases": {
-                p: {
-                    "max": self.phase_time_max(p),
-                    "avg": self.phase_time_avg(p),
-                    "imbalance": self.imbalance(p),
-                    "fraction": self.phase_fraction(p),
-                }
-                for p in self.phases()
-            },
-        }

@@ -46,12 +46,12 @@ Two extensions support resilience experiments (:mod:`repro.resilience`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator, Sequence
 
-if TYPE_CHECKING:  # import would be circular at runtime (analysis -> machine)
+if TYPE_CHECKING:  # circular at runtime (analysis, backend -> machine)
     from repro.analysis.sanitizer import Sanitizer
+    from repro.backend.api import BackendResult
     from repro.obs.tracer import Tracer
 
 from repro.machine import event
@@ -72,22 +72,6 @@ class DeadlockError(RuntimeError):
     mailbox still holds, so protocol bugs are diagnosable from the
     exception alone.
     """
-
-
-@dataclass
-class SimulationResult:
-    """Outcome of one simulated run."""
-
-    elapsed: float
-    returns: list[Any]
-    metrics: MachineMetrics
-    failed_ranks: tuple[int, ...] = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SimulationResult(elapsed={self.elapsed:.6g}s, "
-            f"ranks={self.metrics.nranks}, failed={list(self.failed_ranks)})"
-        )
 
 
 class _RankState:
@@ -143,7 +127,7 @@ class Simulator:
 
     Programs are generator functions ``program(comm, *args) -> Generator``;
     their return value (via ``return``) is collected into
-    :attr:`SimulationResult.returns` indexed by rank.
+    :attr:`repro.backend.api.BackendResult.returns` indexed by rank.
 
     Parameters
     ----------
@@ -166,16 +150,14 @@ class Simulator:
     def __init__(
         self,
         machine: MachineSpec,
-        trace: Callable[[str], None] | None = None,
         tracer: Tracer | None = None,
         fault_plan: FaultPlan | None = None,
-        initial_clocks: list[float] | None = None,
-        initial_metrics: list[RankMetrics] | None = None,
+        initial_clocks: Sequence[float] | None = None,
+        initial_metrics: Sequence[RankMetrics] | None = None,
         sanitizer: Sanitizer | None = None,
         eager_hooks: bool = False,
     ):
         self.machine = machine
-        self.trace = trace
         # Span tracing (repro.obs).  Disabled tracers are dropped here so
         # the per-event hot path is a single `is not None` test and the
         # simulated timings are bit-identical with tracing on or off.
@@ -235,28 +217,25 @@ class Simulator:
         self,
         max_events: int = 500_000_000,
         raise_on_failure: bool = True,
-    ) -> SimulationResult:
+    ) -> BackendResult:
         """Execute all rank programs to completion; returns the result.
 
         With ``raise_on_failure=False`` a run in which ranks were
         fail-stopped still returns (failed ranks contribute ``None``
-        returns and appear in :attr:`SimulationResult.failed_ranks`);
-        survivors blocked forever still raise :class:`RankFailure`,
-        because their returns would be silently missing otherwise.
+        returns and appear in ``failed_ranks``); survivors blocked
+        forever still raise :class:`RankFailure`, because their returns
+        would be silently missing otherwise.
         """
+        # Imported here: repro.backend imports this module.
+        from repro.backend.api import BackendResult, check_run_args
+
+        check_run_args(
+            self.machine,
+            self._programs,
+            initial_clocks=self.initial_clocks,
+            initial_metrics=self.initial_metrics,
+        )
         n = len(self._programs)
-        if n == 0:
-            raise ValueError("no rank programs spawned")
-        if self.initial_clocks is not None and len(self.initial_clocks) != n:
-            raise ValueError(
-                f"initial_clocks has {len(self.initial_clocks)} entries "
-                f"for {n} ranks"
-            )
-        if self.initial_metrics is not None and len(self.initial_metrics) != n:
-            raise ValueError(
-                f"initial_metrics has {len(self.initial_metrics)} entries "
-                f"for {n} ranks"
-            )
         # Message seq numbers restart at 0 every run: they are pure
         # tiebreakers (relative order within a run is unchanged), and
         # resetting makes mailbox provenance — including sanitizer race
@@ -346,7 +325,7 @@ class Simulator:
         for s in states:
             s.metrics.final_clock = s.clock
         metrics = MachineMetrics([s.metrics for s in states])
-        return SimulationResult(
+        return BackendResult(
             elapsed=metrics.elapsed,
             returns=[s.retval for s in states],
             metrics=metrics,
@@ -394,11 +373,6 @@ class Simulator:
         if self._tracer is not None:
             self._tracer.mark(
                 time, "rank_failure", rank=state.rank, lost_messages=len(lost)
-            )
-        if self.trace is not None:  # pragma: no cover - debugging aid
-            self.trace(
-                f"t={time:.6g} rank{state.rank} FAIL-STOP "
-                f"({len(lost)} mailbox messages lost)"
             )
 
     def _kill_overdue(self, states: list[_RankState]) -> bool:
@@ -595,11 +569,6 @@ class Simulator:
             # listening; the message is black-holed (sender still paid
             # the injection cost, as on a real machine).
             self.dropped_messages += 1
-            if self.trace is not None:  # pragma: no cover - debugging aid
-                self.trace(
-                    f"t={state.clock:.6g} rank{state.rank} -> DEAD rank{dst} "
-                    f"tag={tag} bytes={nbytes} dropped"
-                )
             return
         msg = Message(
             src=state.rank,
@@ -618,11 +587,6 @@ class Simulator:
                 if target.key is None or wake < target.key:
                     target.key = wake
                     heappush(self._heap, (wake, dst))
-        if self.trace is not None:  # pragma: no cover - debugging aid
-            self.trace(
-                f"t={state.clock:.6g} rank{state.rank} -> rank{dst} "
-                f"tag={tag} bytes={nbytes} arrives={arrival:.6g}"
-            )
 
     def _complete_recv(self, state: _RankState, msg: Message) -> None:
         t0 = state.clock

@@ -11,6 +11,11 @@ Engines that fork processes are quarantined behind their markers
 (``mp`` for both process-backed engines, ``cluster`` additionally for
 the TCP one) and skip cleanly on hosts that cannot run them.
 
+The same holds for the run contract around the programs: invalid run
+arguments are refused with identical text on every engine, and a run
+that fails with messages still in flight leaves no shared-memory
+segment behind.
+
 Deliberately absent: barrier-then-drain assertions.  ``barrier()``
 orders the token exchange it is built from, not independently routed
 data frames, so "message visible after barrier" is not part of the
@@ -19,12 +24,16 @@ contract on the process-backed engines.
 
 from __future__ import annotations
 
+import glob
+import os
+
+import numpy as np
 import pytest
 
 from repro.backend import get_backend
 from repro.backend.mp import mp_available
 from repro.cluster import cluster_available
-from repro.machine import sp2
+from repro.machine import RankMetrics, sp2
 from repro.machine.simmpi import MAX_USER_TAG
 
 NRANKS = 4
@@ -161,6 +170,21 @@ def prog_reserved_recv(comm):
     yield from comm.recv(0, MAX_USER_TAG + 7)
 
 
+def prog_abandoned_big_sends(comm):
+    """Rank 0 sends arrays far above the default 32 KiB shared-memory
+    threshold to rank 1 (same node on cluster) and to the last rank
+    (another node on cluster); neither ever receives.  Rank 1 raises
+    at once; rank 0's sends never look at the control pipe, so its
+    segments exist before the run is torn down."""
+    if comm.rank == 0:
+        big = np.arange(16_384, dtype=np.float64)
+        yield from comm.send(1, TAG, big, nbytes=big.nbytes)
+        yield from comm.send(comm.size - 1, TAG, big, nbytes=big.nbytes)
+    elif comm.rank == 1:
+        raise ValueError("rank 1 quits before receiving")
+    return comm.rank
+
+
 # ------------------------------------------------------------------- tests
 
 
@@ -224,3 +248,46 @@ def test_reserved_tag_send_rejected(engine):
 def test_reserved_tag_recv_rejected(engine):
     with pytest.raises(ValueError, match="reserved"):
         engine.run_spmd(sp2(nodes=NRANKS), prog_reserved_recv)
+
+
+@pytest.mark.parametrize(
+    "nodes, nranks, kwargs, text",
+    [
+        (2, 3, {}, "machine has 2 nodes; cannot run 3 ranks"),
+        (
+            NRANKS, NRANKS, {"initial_clocks": [0.0] * (NRANKS - 1)},
+            f"initial_clocks has {NRANKS - 1} entries for {NRANKS} ranks",
+        ),
+        (
+            NRANKS, NRANKS,
+            {"initial_metrics": [RankMetrics(r) for r in range(NRANKS + 1)]},
+            f"initial_metrics has {NRANKS + 1} entries for {NRANKS} ranks",
+        ),
+        (NRANKS, 0, {}, "no rank programs given"),
+    ],
+    ids=["too-many-ranks", "initial-clocks", "initial-metrics", "no-programs"],
+)
+def test_invalid_run_arguments_rejected(engine, nodes, nranks, kwargs, text):
+    with pytest.raises(ValueError) as info:
+        engine.run(sp2(nodes=nodes), [prog_ring] * nranks, **kwargs)
+    assert str(info.value) == text
+
+
+def test_measured_engines_reject_sanitizer_and_fault_plan(engine):
+    if not engine.measured:
+        pytest.skip("the simulator runs both")
+    from repro.analysis import Sanitizer
+    from repro.machine.faults import FaultPlan, FaultSpec
+
+    with pytest.raises(ValueError, match="sanitizer"):
+        engine.run_spmd(sp2(nodes=NRANKS), prog_ring, sanitizer=Sanitizer())
+    plan = FaultPlan([FaultSpec(rank=0, time=1.0)])
+    with pytest.raises(ValueError, match="[Ff]ault"):
+        engine.run_spmd(sp2(nodes=NRANKS), prog_ring, fault_plan=plan)
+
+
+def test_failed_run_leaves_no_shared_memory(engine):
+    with pytest.raises(ValueError, match="rank 1 quits before receiving"):
+        engine.run_spmd(sp2(nodes=NRANKS), prog_abandoned_big_sends)
+    # Run ids are repro_<engine>_<head pid>_<n>; this process is the head.
+    assert glob.glob(f"/dev/shm/repro_*_{os.getpid()}_*") == []

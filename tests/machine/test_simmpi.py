@@ -13,6 +13,7 @@ from repro.machine import (
     Simulator,
     sp2,
 )
+from repro.obs.rollup import PhaseRollup
 
 
 def make_machine(nodes=2, flops=1e6, latency=1e-4, bandwidth=1e6):
@@ -326,10 +327,10 @@ class TestSchedulerSemantics:
             yield from comm.compute(flops=3e6)
 
         result = run(make_machine(nodes=1, flops=1e6), program)
-        m = result.metrics
-        assert m.phase_time_max("alpha") == pytest.approx(1.0)
-        assert m.phase_time_max("beta") == pytest.approx(3.0)
-        assert m.phase_fraction("beta") == pytest.approx(0.75)
+        roll = PhaseRollup.from_metrics(result.metrics)
+        assert roll.phase_max("alpha") == pytest.approx(1.0)
+        assert roll.phase_max("beta") == pytest.approx(3.0)
+        assert roll.phase_fraction("beta") == pytest.approx(0.75)
 
     def test_wait_time_attributed(self):
         def program(comm):
